@@ -11,8 +11,9 @@
 //            Shape flags: --participants N --regions R --duration SECS;
 //            --json PATH additionally writes a BenchReport (per-shard
 //            counters land in its timing line).
-//   --shards S  run every simulation on the sharded parallel core with
-//            S worker threads (0 = legacy single-scheduler engine)
+//   --shards S  worker threads per simulation (default 1); every run is
+//            on the sharded core, one shard per region, so the results do
+//            not depend on S
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -186,7 +187,7 @@ void layout_panel(BenchReport& report, const SweepOptions& opts, bool quick) {
 
 // Deterministic totals to stdout, wall-clock to stderr. Stdout (and the
 // --json file minus its one timing line) must be byte-identical across
-// --shards values >= 1: that is the sharded-engine identity gate
+// --shards values: that is the sharded-engine identity gate
 // (check_shard_scaling.cmake). check_conference_perf.cmake and
 // check_bench_regression.cmake read the stderr/JSON timing figures.
 int run_perf(const SweepOptions& opts, int participants, int regions,

@@ -2,8 +2,8 @@
 //
 //   vcabench_fuzz --seeds 256 [--seed-base 1] [--jobs J] [--json PATH]
 //                 [--shrink] [--inject-wedge] [--event-budget N]
-//                 [--shards S]   sharded core for cascaded scenarios
-//                                (results byte-identical at any S >= 1)
+//                 [--shards S]   worker threads for cascaded scenarios
+//                                (default 1; results identical at any S)
 //   vcabench_fuzz --replay '<spec>'      replay one serialized scenario
 //   vcabench_fuzz --replay-seed S        replay one generated seed
 //   vcabench_fuzz --print-seed S         dump a seed's spec and exit

@@ -8,7 +8,6 @@
 
 #include "apps/abr_video.h"
 #include "apps/bulk_tcp.h"
-#include "core/perf.h"
 #include "core/rng.h"
 #include "harness/network.h"
 #include "harness/sweep.h"
@@ -474,10 +473,8 @@ FuzzResult run_fuzz_scenario(const FuzzScenario& sc,
     return res;
   }
   const bool cascaded = sc.regions > 1;
-  const bool sharded = cascaded && opt.shards >= 1;
 
   Network net;
-  if (sharded) net.enable_sharding();
   // Infrastructure: one SFU per region on a cascaded fleet (the region's
   // relay link pair carries inter-SFU traffic and its faults), else the
   // classic single mid-path SFU.
@@ -761,13 +758,13 @@ FuzzResult run_fuzz_scenario(const FuzzScenario& sc,
     budget *= std::max<uint64_t>(1, cls.size() / 4);
   }
   if (cascaded) conf->start(); else call->start();
-  // Sharded core: one ShardRunner persists across every slice so its
-  // worker threads are spawned once, and — the event-storm fix — each
-  // slice's budget is a SHARED cap across the control strand and all
-  // region shards, matching the single-scheduler accounting exactly. A
-  // storm confined to one region exhausts the same budget either way.
+  // A cascaded fleet runs its region shards under one ShardRunner that
+  // persists across every slice, so its worker threads are spawned once.
+  // Each slice's budget is a SHARED cap across the control strand and all
+  // region shards: a storm confined to one region exhausts it too. The
+  // single-SFU call has no shards and runs on the control scheduler.
   std::unique_ptr<ShardRunner> runner;
-  if (sharded) {
+  if (cascaded) {
     ShardRunner::Options ro;
     ro.threads = opt.shards;
     runner = std::make_unique<ShardRunner>(&net.sched(), net.shard_scheds(),
@@ -811,24 +808,7 @@ FuzzResult run_fuzz_scenario(const FuzzScenario& sc,
   for (const std::string& v : viol) res.failures.push_back({"invariant", v});
 
   // Perf bookkeeping (same contract as the scenario runners).
-  res.sim_events = net.events_processed_total();
-  note_sim_events(res.sim_events);
-  perf::note_peak_heap_events(net.peak_pending_max());
-  if (net.sharded()) {
-    perf::note_shard_run(0, net.sched().events_processed(),
-                         net.sched().peak_pending(),
-                         net.shard_bus().handoffs_from(0));
-    std::vector<EventScheduler*> scheds = net.shard_scheds();
-    for (size_t i = 0; i < scheds.size(); ++i) {
-      perf::note_shard_run(static_cast<int>(i) + 1,
-                           scheds[i]->events_processed(),
-                           scheds[i]->peak_pending(),
-                           net.shard_bus().handoffs_from(
-                               static_cast<int>(i) + 1));
-    }
-  }
-  perf::note_link_packets(
-      static_cast<uint64_t>(net.total_delivered_packets()));
+  res.sim_events = note_run_perf(net);
   res.reconnects = cls[0]->reconnect_count();
 
   if (storm) return res;  // end-state oracles are meaningless mid-run

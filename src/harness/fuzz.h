@@ -129,13 +129,12 @@ struct FuzzRunOptions {
   // surfaces (sweep.h). Shrinking disables this: re-running a known-bad
   // scenario dozens of times should not multiply the reported count.
   bool count_invariants_globally = true;
-  // Sharded parallel core for cascaded fleets (regions > 1): 0 = legacy
-  // single-scheduler engine; >= 1 = one logical shard per region driven
-  // by this many worker threads. The slice event budget is shared across
+  // Worker threads for a cascaded fleet (regions > 1), which always runs
+  // one logical shard per region. The slice event budget is shared across
   // the control strand and every shard, so the event-storm oracle keeps
-  // its per-virtual-second meaning — and its verdict — at any shard
+  // its per-virtual-second meaning — and its verdict — at any thread
   // count. Single-SFU scenarios ignore this (nothing to partition).
-  int shards = 0;
+  int shards = 1;
 };
 
 FuzzResult run_fuzz_scenario(const FuzzScenario& sc,

@@ -1,8 +1,9 @@
 #include "harness/network.h"
 
-namespace vca {
+#include "core/perf.h"
+#include "harness/sweep.h"
 
-void Network::enable_sharding() { sharding_ = true; }
+namespace vca {
 
 std::vector<EventScheduler*> Network::shard_scheds() {
   std::vector<EventScheduler*> out;
@@ -104,22 +105,19 @@ Network::Region* Network::add_region(const std::string& name,
   reg->relay_rate = relay_rate;
   auto sw = std::make_unique<ForwardingNode>("region-" + name);
 
-  // Sharded core: the region gets its own scheduler (one logical shard
-  // per region) and its relay uplink becomes a boundary link — the only
-  // place a shard-owned event can emit a packet toward a foreign shard,
-  // so its propagation delay lower-bounds the conservative lookahead.
+  // The region gets its own scheduler (one logical shard per region) and
+  // its relay uplink becomes a boundary link — the only place a
+  // shard-owned event can emit a packet toward a foreign shard, so its
+  // propagation delay lower-bounds the conservative lookahead.
   // (Control-strand boundary links — core-host and segment uplinks —
   // never post mid-window: the control strand only runs at barriers, and
   // the barrier horizon never passes its next pending event.)
-  EventScheduler* owner = &sched_;
-  if (sharding_) {
-    shard_scheds_.push_back(std::make_unique<EventScheduler>());
-    owner = shard_scheds_.back().get();
-    checker_.watch(owner);
-    reg->sched = owner;
-    reg->shard = bus_.add_shard();
-    boundary_min_prop_ = std::min(boundary_min_prop_, relay_prop);
-  }
+  shard_scheds_.push_back(std::make_unique<EventScheduler>());
+  EventScheduler* owner = shard_scheds_.back().get();
+  checker_.watch(owner);
+  reg->sched = owner;
+  reg->shard = bus_.add_shard();
+  boundary_min_prop_ = std::min(boundary_min_prop_, relay_prop);
 
   Link::Config cfg;
   cfg.rate = relay_rate;
@@ -134,7 +132,7 @@ Network::Region* Network::add_region(const std::string& name,
   sw->set_default_route(up.get());
   up->set_sink(&router_);
   down->set_sink(sw.get());
-  if (sharding_) up->set_cross_shard(&bus_, reg->shard);
+  up->set_cross_shard(&bus_, reg->shard);
 
   reg->sw = sw.get();
   reg->relay_up = up.get();
@@ -155,7 +153,7 @@ Network::HostPorts Network::add_host_in_region(Region* reg,
                                                Duration prop,
                                                int64_t queue_bytes) {
   auto host = std::make_unique<Host>(next_id_++, name);
-  EventScheduler* owner = region_owner_sched(reg);
+  EventScheduler* owner = reg->sched;
   Link::Config cfg;
   cfg.propagation = prop;
   cfg.queue_bytes = queue_bytes;
@@ -172,7 +170,7 @@ Network::HostPorts Network::add_host_in_region(Region* reg,
   // The core reaches this host through the region's relay downlink.
   router_.add_route(host->id(), reg->relay_down);
   // Boundary links look the destination shard up by packet dst.
-  if (sharding_) bus_.set_node_shard(host->id(), reg->shard);
+  bus_.set_node_shard(host->id(), reg->shard);
 
   HostPorts ports{host.get(), up_link.get(), down_link.get()};
   checker_.watch(up_link.get());
@@ -209,6 +207,27 @@ TraceRecorder* Network::record(Link* link, uint32_t snaplen) {
   recorders_.push_back(std::move(rec));
   fanout_for(link)->add(raw->tap());
   return raw;
+}
+
+uint64_t note_run_perf(Network& net) {
+  uint64_t events = net.events_processed_total();
+  note_sim_events(events);
+  perf::note_peak_heap_events(net.peak_pending_max());
+  perf::note_link_packets(
+      static_cast<uint64_t>(net.total_delivered_packets()));
+  std::vector<EventScheduler*> scheds = net.shard_scheds();
+  if (!scheds.empty()) {
+    perf::note_shard_run(0, net.sched().events_processed(),
+                         net.sched().peak_pending(),
+                         net.shard_bus().handoffs_from(0));
+    for (size_t i = 0; i < scheds.size(); ++i) {
+      int shard = static_cast<int>(i) + 1;
+      perf::note_shard_run(shard, scheds[i]->events_processed(),
+                           scheds[i]->peak_pending(),
+                           net.shard_bus().handoffs_from(shard));
+    }
+  }
+  return events;
 }
 
 }  // namespace vca

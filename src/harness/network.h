@@ -44,8 +44,8 @@ class Network {
     Link* relay_up = nullptr;    // region -> core (inter-SFU direction out)
     Link* relay_down = nullptr;  // core -> region
     DataRate relay_rate;
-    // Sharded core only: the region's own scheduler and shard index
-    // (shard 0 is the control strand). nullptr / 0 on a legacy Network.
+    // The region's own scheduler and shard index (shard 0 is the
+    // control strand).
     EventScheduler* sched = nullptr;
     int shard = 0;
   };
@@ -62,23 +62,24 @@ class Network {
   EventScheduler& sched() { return sched_; }
   ForwardingNode& router() { return router_; }
 
-  // --- sharded parallel core (net/shard.h) --------------------------------
+  // --- sharded event core (net/shard.h) -----------------------------------
   //
-  // Call before building the topology. Every region added afterwards gets
-  // its own EventScheduler (one logical shard per region); hosts attached
-  // directly to the router stay on the control strand (shard 0). Links
-  // whose sink is the core router become boundary links: they feed the
-  // cross-shard mailbox bus, and the minimum of their propagation delays
-  // is the conservative lookahead (so it must stay > 0).
-  void enable_sharding();
-  bool sharded() const { return sharding_; }
+  // Every region gets its own EventScheduler (one logical shard per
+  // region); hosts attached directly to the router stay on the control
+  // strand (shard 0). A region's relay uplink is a boundary link: it
+  // feeds the cross-shard mailbox bus, and the minimum of the relay
+  // propagation delays is the conservative lookahead (so it must stay
+  // > 0). A topology with regions runs under a ShardRunner; one without
+  // has no shards and runs on sched() alone.
+  //
+  // No-op: every region is a shard. vcaperf/conf_city.cc still calls it.
+  void enable_sharding() {}
   ShardBus& shard_bus() { return bus_; }
   // Schedulers of shards 1..R in region order (the ShardRunner input).
   std::vector<EventScheduler*> shard_scheds();
   Duration shard_lookahead() const { return boundary_min_prop_; }
 
-  // Events retired across the control strand and every shard (equals
-  // sched().events_processed() on a legacy Network).
+  // Events retired across the control strand and every shard.
   uint64_t events_processed_total() const {
     uint64_t total = sched_.events_processed();
     for (const auto& s : shard_scheds_) total += s->events_processed();
@@ -158,14 +159,8 @@ class Network {
 
  private:
   TapFanout* fanout_for(Link* link);
-  // The scheduler that owns a region's topology (its own shard scheduler
-  // when sharded, the global one otherwise).
-  EventScheduler* region_owner_sched(Region* reg) {
-    return reg->sched != nullptr ? reg->sched : &sched_;
-  }
 
   EventScheduler sched_;
-  bool sharding_ = false;
   ShardBus bus_;
   std::vector<std::unique_ptr<EventScheduler>> shard_scheds_;
   Duration boundary_min_prop_ = Duration::infinite();
@@ -182,5 +177,14 @@ class Network {
   std::vector<std::unique_ptr<TapFanout>> fanouts_;
   std::vector<Link*> tapped_;  // parallel to fanouts_
 };
+
+// End-of-run perf bookkeeping every runner shares: retires the run's
+// events into the process-wide counter (sweep.h) and feeds the perf layer
+// (core/perf.h) the deepest heap, the link-delivered packets and, when the
+// topology has region shards, the per-shard breakdown BenchReport's
+// timing line prints (shard 0 is the control strand; handoffs are the
+// packets a shard posted into the cross-shard mailboxes). Returns the
+// run's event total.
+uint64_t note_run_perf(Network& net);
 
 }  // namespace vca

@@ -4,7 +4,6 @@
 
 #include "apps/abr_video.h"
 #include "apps/bulk_tcp.h"
-#include "core/perf.h"
 #include "harness/network.h"
 #include "harness/sweep.h"
 #include "net/faults.h"
@@ -17,33 +16,13 @@ namespace {
 
 // End-of-run bookkeeping every scenario runner shares: enforce the sim
 // invariants (propagating any violation count into the process-wide
-// counter BenchReport surfaces, so release builds fail loudly too),
-// retire the run's events into the process-wide counter and feed the
-// perf-counter layer (scheduler heap high-water mark, link-delivered
-// packets). Returns the violation count for runners that also report it.
+// counter BenchReport surfaces, so release builds fail loudly too) and
+// feed the run's perf counters (note_run_perf). Returns the violation
+// count for runners that also report it.
 int finish_run(Network& net) {
   int violations = net.enforce_invariants();
   note_invariant_violations(static_cast<uint64_t>(violations));
-  note_sim_events(net.events_processed_total());
-  perf::note_peak_heap_events(net.peak_pending_max());
-  perf::note_link_packets(
-      static_cast<uint64_t>(net.total_delivered_packets()));
-  if (net.sharded()) {
-    // Per-shard breakdown for BenchReport's timing line: shard 0 is the
-    // control strand, 1..R the region shards; handoffs are the packets a
-    // shard posted into the cross-shard mailboxes.
-    perf::note_shard_run(0, net.sched().events_processed(),
-                         net.sched().peak_pending(),
-                         net.shard_bus().handoffs_from(0));
-    auto scheds = net.shard_scheds();
-    for (size_t i = 0; i < scheds.size(); ++i) {
-      perf::note_shard_run(static_cast<int>(i) + 1,
-                           scheds[i]->events_processed(),
-                           scheds[i]->peak_pending(),
-                           net.shard_bus().handoffs_from(
-                               static_cast<int>(i) + 1));
-    }
-  }
+  note_run_perf(net);
   return violations;
 }
 
@@ -422,8 +401,6 @@ MultipartyResult run_multiparty(const MultipartyConfig& cfg) {
 
 ConferenceResult run_conference(const ConferenceConfig& cfg) {
   Network net;
-  const bool sharded = cfg.shards >= 1;
-  if (sharded) net.enable_sharding();
   Conference::Config conf_cfg;
   conf_cfg.profile = vca_profile(cfg.profile);
   conf_cfg.mode = cfg.mode;
@@ -512,16 +489,12 @@ ConferenceResult run_conference(const ConferenceConfig& cfg) {
   net.sched().schedule(Duration::seconds(1), [&] { sample(); });
 
   conf.start();
-  if (sharded) {
-    ShardRunner::Options ro;
-    ro.threads = cfg.shards;
-    ShardRunner runner(&net.sched(), net.shard_scheds(), &net.shard_bus(),
-                       net.shard_lookahead(), ro);
-    runner.set_barrier_hook([&conf] { conf.drain_deferred_keyframes(); });
-    runner.run_until(TimePoint::zero() + cfg.duration);
-  } else {
-    net.sched().run_until(TimePoint::zero() + cfg.duration);
-  }
+  ShardRunner::Options ro;
+  ro.threads = cfg.shards;
+  ShardRunner runner(&net.sched(), net.shard_scheds(), &net.shard_bus(),
+                     net.shard_lookahead(), ro);
+  runner.set_barrier_hook([&conf] { conf.drain_deferred_keyframes(); });
+  runner.run_until(TimePoint::zero() + cfg.duration);
   conf.stop();
 
   ConferenceResult out;

@@ -217,13 +217,12 @@ struct ConferenceConfig {
   bool capture_traces = false;
   uint32_t trace_snaplen = kPcapDefaultSnaplen;
   std::string pcap_path;
-  // Sharded parallel core (net/shard.h). 0 = legacy single-scheduler
-  // engine (bit-exact with every pre-sharding release). >= 1 = partition
-  // the simulation into one logical shard per region plus a control
-  // strand, executed by `shards` worker threads. The partition is fixed
-  // by the topology, so results are byte-identical at ANY shards >= 1;
-  // only wall-clock changes with the thread count.
-  int shards = 0;
+  // Worker threads of the sharded event core (net/shard.h). The
+  // simulation is always partitioned into one logical shard per region
+  // plus a control strand; the partition is fixed by the topology, so
+  // results are byte-identical at any thread count and only wall-clock
+  // changes with it.
+  int shards = 1;
 };
 
 struct ConferenceRegionStats {

@@ -3,7 +3,10 @@
 #include "core/perf.h"
 
 #include <atomic>
+#include <climits>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -55,6 +58,22 @@ std::string json_num(double v) {
   return ss.str();
 }
 
+// --shards value: an integer >= 1, else a usage message and exit 2 (a
+// typo must not silently pick some other thread count).
+int shards_arg(const char* prog, const char* v) {
+  if (v == nullptr) v = "";
+  char* end = nullptr;
+  long n = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || n < 1 || n > INT_MAX) {
+    std::fprintf(stderr,
+                 "usage: %s [--shards N]: N is the worker-thread count per "
+                 "simulation, an integer >= 1 (got '%s')\n",
+                 prog, v);
+    std::exit(2);
+  }
+  return static_cast<int>(n);
+}
+
 }  // namespace
 
 int default_jobs() {
@@ -64,13 +83,16 @@ int default_jobs() {
 
 SweepOptions parse_sweep_args(int argc, char** argv) {
   SweepOptions opts;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      opts.jobs = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      opts.shards = std::atoi(argv[i + 1]);
+  for (int i = 1; i < argc; ++i) {
+    const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (std::strcmp(argv[i], "--shards") == 0) {
+      opts.shards = shards_arg(argv[0], next);
+    } else if (next == nullptr) {
+      break;
+    } else if (std::strcmp(argv[i], "--jobs") == 0) {
+      opts.jobs = std::atoi(next);
     } else if (std::strcmp(argv[i], "--json") == 0) {
-      opts.json_path = argv[i + 1];
+      opts.json_path = next;
     }
   }
   return opts;

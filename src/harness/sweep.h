@@ -38,17 +38,18 @@ namespace vca {
 
 // Command-line options shared by every bench binary and the CLI:
 //   --jobs N     worker threads across sweep cells (default: hw concurrency)
-//   --shards N   worker threads INSIDE each simulation (sharded core;
-//                0 = legacy single-scheduler engine)
+//   --shards N   worker threads INSIDE each simulation with region
+//                shards (N >= 1; results do not depend on it)
 //   --json PATH  machine-readable per-cell means/CIs + timing
 struct SweepOptions {
-  int jobs = 0;  // <= 0 means default_jobs()
-  int shards = 0;  // 0 = unsharded engine; >= 1 = sharded, N threads/sim
+  int jobs = 0;    // <= 0 means default_jobs()
+  int shards = 1;  // threads per sharded simulation, >= 1
   std::string json_path;
 };
 
-// Extracts --jobs/--json from argv; unrelated flags are left for the
-// caller's own parser.
+// Extracts --jobs/--shards/--json from argv; unrelated flags are left for
+// the caller's own parser. A --shards value that is not an integer >= 1
+// prints a usage message and exits with status 2.
 SweepOptions parse_sweep_args(int argc, char** argv);
 
 int default_jobs();  // hardware_concurrency, at least 1

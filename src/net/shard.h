@@ -1,14 +1,14 @@
 // Sharded parallel event core: conservative synchronization for one
-// simulation split across per-region EventSchedulers (ROADMAP item 2).
+// simulation split across per-region EventSchedulers. It is the only
+// engine for topologies with regions; a topology without regions has no
+// shards and runs on its control scheduler alone.
 //
 // The partition is a property of the TOPOLOGY, not of the thread count:
 // shard 0 is the control strand (core hosts, the router's own links,
 // conference signaling/churn/fault timers) and each Network region gets
-// one shard of its own. `--shards N` only picks how many worker threads
-// execute those logical shards, so results are byte-identical at any N —
-// the determinism bar the acceptance harness enforces. shards=0 keeps
-// the legacy single-scheduler engine, whose event interleaving (a single
-// global sequence counter) is intentionally left untouched.
+// one shard of its own. `--shards N` (N >= 1) only picks how many worker
+// threads execute those logical shards, so results are byte-identical at
+// any N — the determinism bar the acceptance harness enforces.
 //
 // Synchronization is classic conservative PDES with barrier epochs:
 //   * lookahead L = the minimum propagation delay over the boundary

@@ -17,13 +17,11 @@ Conference::Conference(EventScheduler* sched, Config cfg)
     : sched_(sched), cfg_(std::move(cfg)), next_flow_(cfg_.flow_base) {}
 
 int Conference::add_region(Host* sfu_host, EventScheduler* region_sched) {
-  EventScheduler* sched = region_sched != nullptr ? region_sched : sched_;
   SfuServer::Config sc;
   sc.profile = cfg_.profile;
-  sfus_.push_back(std::make_unique<SfuServer>(sched, sfu_host, sc));
-  region_scheds_.push_back(sched);
+  sfus_.push_back(std::make_unique<SfuServer>(region_sched, sfu_host, sc));
+  region_scheds_.push_back(region_sched);
   pending_keyframes_.emplace_back();
-  defer_keyframes_ |= sched != sched_;
   return static_cast<int>(sfus_.size()) - 1;
 }
 
@@ -193,23 +191,16 @@ void Conference::ensure_relay(Member& pub, int viewer_region) {
   SfuServer* peer = sfus_[static_cast<size_t>(viewer_region)].get();
   home->add_relay_out(pub.client.get(), peer->host()->id(), flow_base);
   VcaClient* pub_client = pub.client.get();
-  if (defer_keyframes_) {
-    // The remote leg fires from the VIEWER region's shard; the publisher
-    // lives on another. Queue the request (single writer: that shard's
-    // thread) and let the barrier hook deliver it — deferred on every
-    // sharded run, whatever the worker count, so results stay identical
-    // across --shards values.
-    peer->add_remote_publisher(
-        origin, home->host()->id(), flow_base,
-        [this, pub_client, viewer_region](int layer) {
-          pending_keyframes_[static_cast<size_t>(viewer_region)].push_back(
-              PendingKeyframe{pub_client, layer});
-        });
-  } else {
-    peer->add_remote_publisher(
-        origin, home->host()->id(), flow_base,
-        [pub_client](int layer) { pub_client->request_keyframe(layer); });
-  }
+  // The remote leg fires from the VIEWER region's shard; the publisher
+  // lives on another. Queue the request (single writer: that shard's
+  // thread) and let the barrier hook deliver it — whatever the worker
+  // count, so results stay identical across --shards values.
+  peer->add_remote_publisher(
+      origin, home->host()->id(), flow_base,
+      [this, pub_client, viewer_region](int layer) {
+        pending_keyframes_[static_cast<size_t>(viewer_region)].push_back(
+            PendingKeyframe{pub_client, layer});
+      });
 }
 
 void Conference::release_relay(NodeId origin, int origin_region,

@@ -53,11 +53,10 @@ class Conference {
   Conference(EventScheduler* sched, Config cfg);
 
   // Register a regional SFU (before start()); returns the region index.
-  // On a sharded Network pass the region's own scheduler: the SFU and
-  // every client of that region then live on the region's shard, while
-  // the Conference's signaling/churn timers stay on the control strand.
-  // nullptr keeps everything on the constructor scheduler (legacy).
-  int add_region(Host* sfu_host, EventScheduler* region_sched = nullptr);
+  // `region_sched` is the region's own shard scheduler: the SFU and every
+  // client of that region live on it, while the Conference's
+  // signaling/churn timers stay on the constructor (control) scheduler.
+  int add_region(Host* sfu_host, EventScheduler* region_sched);
 
   // Add a participant attached to region `region`. `join_at` in the past
   // (or zero) means present from the start; a finite `leave_at` schedules
@@ -98,13 +97,12 @@ class Conference {
   void append_invariant_violations(std::vector<std::string>* out) const;
   int64_t forwards_to_departed() const;
 
-  // Sharded core: a peer SFU's keyframe request to a remote publisher is
-  // the one direct cross-region call in the fleet. When any region runs
-  // on its own scheduler, those requests are queued per viewer region
+  // A peer SFU's keyframe request to a remote publisher is the one
+  // direct cross-region call in the fleet. It is queued per viewer region
   // (written only by that region's shard thread) instead of invoked
-  // inline; the ShardRunner's barrier hook drains them — region index
-  // ascending, FIFO within — which keeps the order independent of the
-  // worker-thread count. No-op on a legacy single-scheduler Conference.
+  // inline; the ShardRunner's barrier hook drains the queues — region
+  // index ascending, FIFO within — which keeps the order independent of
+  // the worker-thread count.
   void drain_deferred_keyframes();
 
  private:
@@ -144,7 +142,6 @@ class Conference {
   Config cfg_;
   std::vector<std::unique_ptr<SfuServer>> sfus_;
   std::vector<EventScheduler*> region_scheds_;  // parallel to sfus_
-  bool defer_keyframes_ = false;  // any region on a foreign scheduler
   struct PendingKeyframe {
     VcaClient* publisher = nullptr;
     int layer = 0;

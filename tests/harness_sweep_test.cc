@@ -71,7 +71,25 @@ TEST(SweepTest, ParseArgs) {
   EXPECT_EQ(o.json_path, "/tmp/out.json");
   SweepOptions d = parse_sweep_args(1, const_cast<char**>(argv));
   EXPECT_EQ(d.jobs, 0);
+  EXPECT_EQ(d.shards, 1);
   EXPECT_TRUE(d.json_path.empty());
+}
+
+// --shards is a worker-thread count: an integer >= 1. Anything else is a
+// usage error (exit 2), never a silent fallback to some other engine or
+// thread count.
+TEST(SweepTest, ParseArgsShards) {
+  const char* ok[] = {"bench", "--shards", "4"};
+  EXPECT_EQ(parse_sweep_args(3, const_cast<char**>(ok)).shards, 4);
+  for (const char* bad : {"abc", "0", "-1", "2x", ""}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"bench", "--shards", bad};
+    EXPECT_EXIT(parse_sweep_args(3, const_cast<char**>(argv)),
+                testing::ExitedWithCode(2), "--shards");
+  }
+  const char* missing[] = {"bench", "--shards"};
+  EXPECT_EXIT(parse_sweep_args(2, const_cast<char**>(missing)),
+              testing::ExitedWithCode(2), "--shards");
 }
 
 // A representative bench grid, shortened: capacity x profile x rep over

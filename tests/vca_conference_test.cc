@@ -19,6 +19,7 @@ struct ConfRig {
   std::vector<Network::HostPorts> sfu_ports;
   std::vector<Network::HostPorts> client_ports;
   std::unique_ptr<Conference> conf;
+  std::unique_ptr<ShardRunner> runner;
 
   // `region_of[i]` pins client i's region; empty = round-robin.
   ConfRig(const std::string& profile, int n_regions, int n_clients,
@@ -36,7 +37,7 @@ struct ConfRig {
       sfu_ports.push_back(net.add_host_in_region(
           regions.back(), "sfu-r" + std::to_string(r), DataRate::gbps(4),
           DataRate::gbps(4), Duration::millis(1), 8 << 20));
-      conf->add_region(sfu_ports.back().host);
+      conf->add_region(sfu_ports.back().host, regions.back()->sched);
     }
     for (int i = 0; i < n_clients; ++i) {
       int region = region_of.empty() ? i % n_regions
@@ -47,12 +48,18 @@ struct ConfRig {
           1 << 20));
       conf->add_client(client_ports.back().host, region);
     }
+    // One runner for the whole test, as run_conference drives it:
+    // deferred cross-region keyframe requests land at each barrier.
+    runner = std::make_unique<ShardRunner>(
+        &net.sched(), net.shard_scheds(), &net.shard_bus(),
+        net.shard_lookahead(), ShardRunner::Options{});
+    runner->set_barrier_hook([this] { conf->drain_deferred_keyframes(); });
   }
 
   VcaClient* cl(int i) { return conf->client(static_cast<size_t>(i)); }
   void run_to(double sec) {
-    net.sched().run_until(TimePoint::zero() + Duration::millis(
-                                                  static_cast<int64_t>(sec * 1000)));
+    runner->run_until(TimePoint::zero() +
+                      Duration::millis(static_cast<int64_t>(sec * 1000)));
   }
   const VcaClient::Feed* feed_from(VcaClient* viewer, VcaClient* pub) {
     for (const auto& f : viewer->feeds()) {
