@@ -22,24 +22,6 @@ void put_u32(std::ostream& os, uint32_t v) {
   os.write(b.data(), b.size());
 }
 
-bool get_u16(std::istream& is, uint16_t* v) {
-  std::array<char, 2> b;
-  if (!is.read(b.data(), b.size())) return false;
-  *v = static_cast<uint16_t>(static_cast<uint8_t>(b[0]) |
-                             (static_cast<uint8_t>(b[1]) << 8));
-  return true;
-}
-
-bool get_u32(std::istream& is, uint32_t* v) {
-  std::array<char, 4> b;
-  if (!is.read(b.data(), b.size())) return false;
-  *v = static_cast<uint32_t>(static_cast<uint8_t>(b[0])) |
-       (static_cast<uint32_t>(static_cast<uint8_t>(b[1])) << 8) |
-       (static_cast<uint32_t>(static_cast<uint8_t>(b[2])) << 16) |
-       (static_cast<uint32_t>(static_cast<uint8_t>(b[3])) << 24);
-  return true;
-}
-
 }  // namespace
 
 PcapWriter::PcapWriter(std::ostream& os, uint32_t snaplen)
@@ -61,46 +43,6 @@ void PcapWriter::write(const PacketRecord& rec) {
   put_u32(os_, incl);
   put_u32(os_, rec.wire_bytes);
   os_.write(reinterpret_cast<const char*>(rec.bytes.data()), incl);
-}
-
-PcapReader::PcapReader(std::istream& is) : is_(is) {
-  uint32_t magic = 0;
-  uint16_t major = 0, minor = 0;
-  uint32_t zone = 0, sigfigs = 0;
-  if (!get_u32(is_, &magic)) return;
-  if (magic == kPcapMagicNanos) {
-    nanosecond_ = true;
-  } else if (magic == kPcapMagicMicros) {
-    nanosecond_ = false;
-  } else {
-    return;  // byte-swapped or foreign capture: not ours
-  }
-  if (!get_u16(is_, &major) || !get_u16(is_, &minor)) return;
-  if (!get_u32(is_, &zone) || !get_u32(is_, &sigfigs)) return;
-  if (!get_u32(is_, &snaplen_) || !get_u32(is_, &link_type_)) return;
-  ok_ = true;
-}
-
-bool PcapReader::next(PacketRecord* out) {
-  if (!ok_) return false;
-  uint32_t sec = 0, frac = 0, incl = 0, orig = 0;
-  if (!get_u32(is_, &sec)) return false;  // clean EOF
-  if (!get_u32(is_, &frac) || !get_u32(is_, &incl) || !get_u32(is_, &orig)) {
-    return false;
-  }
-  out->ts_ns = static_cast<int64_t>(sec) * 1'000'000'000 +
-               (nanosecond_ ? frac : static_cast<int64_t>(frac) * 1000);
-  out->wire_bytes = orig;
-  out->bytes.resize(incl);
-  return static_cast<bool>(
-      is_.read(reinterpret_cast<char*>(out->bytes.data()), incl));
-}
-
-std::vector<PacketRecord> PcapReader::read_all() {
-  std::vector<PacketRecord> out;
-  PacketRecord rec;
-  while (next(&rec)) out.push_back(rec);
-  return out;
 }
 
 PcapFileReader::PcapFileReader(const std::string& path, size_t buffer_bytes)

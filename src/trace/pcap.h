@@ -5,7 +5,7 @@
 // truncated at a snap length, exactly like `tcpdump -s N`). PcapWriter
 // serializes a record stream into a standard libpcap file (nanosecond
 // magic 0xa1b23c4d, LINKTYPE_ETHERNET) that tcpdump/tshark/Wireshark
-// open directly; PcapReader loads one back into records.
+// open directly; PcapFileReader streams one back, record by record.
 //
 // The on-disk format is always little-endian regardless of host, so
 // traces are portable and the golden-header test can assert exact bytes.
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -52,30 +51,6 @@ class PcapWriter {
  private:
   std::ostream& os_;
   uint32_t snaplen_;
-};
-
-class PcapReader {
- public:
-  // Parses the global header; ok() is false on a foreign magic.
-  explicit PcapReader(std::istream& is);
-
-  bool ok() const { return ok_; }
-  uint32_t link_type() const { return link_type_; }
-  uint32_t snaplen() const { return snaplen_; }
-  bool nanosecond() const { return nanosecond_; }
-
-  // Reads the next record; false at EOF or on a truncated file.
-  bool next(PacketRecord* out);
-
-  // Drains the remaining records.
-  std::vector<PacketRecord> read_all();
-
- private:
-  std::istream& is_;
-  bool ok_ = false;
-  bool nanosecond_ = true;
-  uint32_t link_type_ = 0;
-  uint32_t snaplen_ = 0;
 };
 
 // Chunked file reader: iterates a libpcap file through a fixed-size read

@@ -104,34 +104,50 @@ TEST(PcapTest, RoundTripByteFidelity) {
   std::remove(path.c_str());
 }
 
-TEST(PcapTest, ReaderAcceptsMicrosecondMagic) {
-  // Hand-build a classic microsecond-resolution capture.
-  std::ostringstream out;
-  auto le32 = [&](uint32_t v) {
-    out.put(static_cast<char>(v & 0xff));
-    out.put(static_cast<char>((v >> 8) & 0xff));
-    out.put(static_cast<char>((v >> 16) & 0xff));
-    out.put(static_cast<char>((v >> 24) & 0xff));
-  };
-  auto le16 = [&](uint16_t v) {
-    out.put(static_cast<char>(v & 0xff));
-    out.put(static_cast<char>((v >> 8) & 0xff));
-  };
-  le32(kPcapMagicMicros);
-  le16(2);
-  le16(4);
-  le32(0);
-  le32(0);
-  le32(65535);
-  le32(kPcapLinkEthernet);
-  le32(7);    // ts_sec
-  le32(500);  // ts_usec
-  le32(4);    // incl
-  le32(60);   // orig
-  out.write("\x01\x02\x03\x04", 4);
+// Little-endian pcap bytes built by hand, so the reader tests can feed
+// it headers and length fields the writer would never produce.
+struct RawPcap {
+  std::string bytes;
+  void le16(uint16_t v) {
+    bytes.push_back(static_cast<char>(v & 0xff));
+    bytes.push_back(static_cast<char>((v >> 8) & 0xff));
+  }
+  void le32(uint32_t v) {
+    le16(static_cast<uint16_t>(v & 0xffff));
+    le16(static_cast<uint16_t>(v >> 16));
+  }
+  void global_header(uint32_t magic) {
+    le32(magic);
+    le16(2);
+    le16(4);
+    le32(0);
+    le32(0);
+    le32(65535);
+    le32(kPcapLinkEthernet);
+  }
+  void record_header(uint32_t sec, uint32_t frac, uint32_t incl,
+                     uint32_t orig) {
+    le32(sec);
+    le32(frac);
+    le32(incl);
+    le32(orig);
+  }
+  std::string write(const char* name) const {
+    std::string path = temp_path(name);
+    std::ofstream(path, std::ios::binary) << bytes;
+    return path;
+  }
+};
 
-  std::istringstream in(out.str());
-  PcapReader r(in);
+TEST(PcapTest, ReaderAcceptsMicrosecondMagic) {
+  // A classic microsecond-resolution capture.
+  RawPcap raw;
+  raw.global_header(kPcapMagicMicros);
+  raw.record_header(7, 500, 4, 60);  // ts 7 s + 500 us, 4 of 60 bytes
+  raw.bytes += "\x01\x02\x03\x04";
+  std::string path = raw.write("micros.pcap");
+
+  PcapFileReader r(path);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.nanosecond());
   PacketRecord rec;
@@ -140,12 +156,43 @@ TEST(PcapTest, ReaderAcceptsMicrosecondMagic) {
   EXPECT_EQ(rec.wire_bytes, 60u);
   ASSERT_EQ(rec.bytes.size(), 4u);
   EXPECT_FALSE(r.next(&rec));
+  std::remove(path.c_str());
 }
 
 TEST(PcapTest, ReaderRejectsForeignMagic) {
-  std::istringstream in(std::string(24, '\x42'));
-  PcapReader r(in);
+  RawPcap raw;
+  raw.bytes.assign(24, '\x42');
+  std::string path = raw.write("foreign.pcap");
+  PcapFileReader r(path);
   EXPECT_FALSE(r.ok());
+  std::remove(path.c_str());
+}
+
+// A record whose claimed capture length exceeds kMaxRecordBytes marks the
+// file corrupt: next() refuses it (no allocation of the claimed size) and
+// the reader stays failed, even though a valid record came before it.
+TEST(PcapTest, ReaderRejectsOversizedRecordLength) {
+  for (uint32_t incl :
+       {PcapFileReader::kMaxRecordBytes + 1, uint32_t{0xFFFFFFFF}}) {
+    SCOPED_TRACE(incl);
+    RawPcap raw;
+    raw.global_header(kPcapMagicNanos);
+    raw.record_header(1, 0, 2, 2);
+    raw.bytes += "\xaa\xbb";
+    raw.record_header(2, 0, incl, 1500);
+    raw.bytes += std::string(64, '\0');
+    std::string path = raw.write("oversized.pcap");
+
+    PcapFileReader r(path);
+    ASSERT_TRUE(r.ok());
+    PacketRecord rec;
+    ASSERT_TRUE(r.next(&rec));
+    EXPECT_EQ(rec.bytes.size(), 2u);
+    EXPECT_FALSE(r.next(&rec));
+    EXPECT_FALSE(r.ok());
+    EXPECT_FALSE(r.next(&rec));
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
