@@ -168,22 +168,13 @@ void StreamAccumulator::note_closed_frame(const FrameObservation& f) {
     cur_sec_ = sec;
     cur_sec_frames_ = 0;
   }
-  if (mode_ == Mode::kOffline) {
-    // Frames close in nondecreasing start order, so `sec` never precedes
-    // first_frame_sec_; the vector reproduces the offline pipeline's
-    // exact per-second series.
-    size_t idx = static_cast<size_t>(sec - first_frame_sec_);
-    if (idx >= fps_per_sec_.size()) fps_per_sec_.resize(idx + 1, 0.0);
-    fps_per_sec_[idx] += 1.0;
-  } else {
-    if (sec != cur_sec_) {
-      int bin = std::min(cur_sec_frames_, kFpsBins - 1);
-      if (cur_sec_frames_ > 0) ++fps_hist_[bin];
-      cur_sec_ = sec;
-      cur_sec_frames_ = 0;
-    }
-    ++cur_sec_frames_;
+  if (sec != cur_sec_) {
+    int bin = std::min(cur_sec_frames_, kFpsBins - 1);
+    if (cur_sec_frames_ > 0) ++fps_hist_[bin];
+    cur_sec_ = sec;
+    cur_sec_frames_ = 0;
   }
+  ++cur_sec_frames_;
   ++frames_;
   frame_bytes_ += f.ip_bytes;
   ++window_.frames;
@@ -237,7 +228,7 @@ double StreamAccumulator::bounded_median_fps() const {
   for (int b = 0; b < kFpsBins; ++b) n += fps_hist_[b];
   if (n == 0) return 0.0;
   // Per-second frame counts are small integers, so the histogram median
-  // equals the sorted-vector median the offline pipeline computes.
+  // equals the median of the sorted nonzero per-second counts.
   uint64_t lo_rank = (n - 1) / 2, hi_rank = n / 2;
   double lo = 0.0, hi = 0.0;
   uint64_t seen = 0;
@@ -281,20 +272,11 @@ StreamReport StreamAccumulator::finish(const StreamKey& key) {
     r.first_sec = first_frame_sec_;
     r.mean_frame_bytes = static_cast<double>(frame_bytes_) /
                          static_cast<double>(frames_);
-    if (mode_ == Mode::kOffline) {
-      r.fps_per_sec = fps_per_sec_;
-      std::vector<double> nonzero;
-      for (double v : r.fps_per_sec) {
-        if (v > 0.0) nonzero.push_back(v);
-      }
-      r.median_fps = median_of_sorted_copy(std::move(nonzero));
-    } else {
-      if (cur_sec_frames_ > 0) {
-        ++fps_hist_[std::min(cur_sec_frames_, kFpsBins - 1)];
-        cur_sec_frames_ = 0;
-      }
-      r.median_fps = bounded_median_fps();
+    if (cur_sec_frames_ > 0) {
+      ++fps_hist_[std::min(cur_sec_frames_, kFpsBins - 1)];
+      cur_sec_frames_ = 0;
     }
+    r.median_fps = bounded_median_fps();
     freeze_.finalize(last_ns_);
     r.freeze_events = freeze_.freeze_events();
     r.est_freeze_ratio = freeze_.freeze_ratio(last_ns_ - first_ns_);
@@ -337,7 +319,7 @@ void TraceAnalysisBuilder::add(const PacketRecord& rec) {
     }
   }
   if (acc == nullptr) {
-    streams_.emplace_back(key, StreamAccumulator(StreamAccumulator::Mode::kOffline));
+    streams_.emplace_back(key, StreamAccumulator());
     acc = &streams_.back().second;
   }
   acc->on_packet(*p);

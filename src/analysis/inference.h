@@ -12,15 +12,14 @@
 //   duplication / repair handling) -> per-second FPS, frame-size,
 //   resolution-ladder, freeze, QoE, and utilization estimators.
 //
-// Two consumers share the core:
-//   * the offline per-file pipeline (analyze_records / analyze_pcap_file)
-//     — unbounded history, exact per-second series in the report;
-//   * the streaming service (src/streaming) — StreamAccumulator in
-//     bounded mode holds O(1) state per flow (fps histogram instead of a
-//     per-second vector) so millions of concurrent flows fit a memory
-//     cap. Both modes see identical packets -> identical frame sequence
-//     -> identical medians; only the report's fps_per_sec vector differs
-//     (empty in bounded mode).
+// Two consumers share the core, StreamAccumulator, which holds O(1)
+// state per flow (a per-second frame-count histogram, not a per-second
+// vector):
+//   * the offline per-file pipeline (analyze_records / analyze_pcap_file);
+//   * the streaming service (src/streaming), where that bound lets
+//     millions of concurrent flows fit a memory cap.
+// Identical packets give an identical frame sequence and identical
+// reports in both.
 //
 // Nothing in here reads simulator state; the estimators are calibrated
 // against WebRtcStatsCollector ground truth by bench_inference /
@@ -138,8 +137,7 @@ struct StreamReport {
   double mean_frame_bytes = 0.0;
   int64_t repair_bytes = 0;        // FEC / RTX / padding attributed blind
   int duplicate_packets = 0;
-  std::vector<double> fps_per_sec;  // indexed from first_sec; offline only
-  int64_t first_sec = 0;
+  int64_t first_sec = 0;           // second of the first closed frame
 
   // Extended blind estimates (analysis/estimators.h). All derived from
   // headers alone; 0 when there is no video signal.
@@ -157,15 +155,11 @@ struct StreamReport {
 // ---------------------------------------------------------------------------
 
 // Consumes one flow's parsed packets one at a time and produces a
-// StreamReport. kOffline keeps the exact per-second FPS series (state
-// grows with stream duration, as the offline report requires); kBounded
-// replaces it with a constant-size frame-count histogram whose median is
-// identical for integer per-second counts, so per-flow state is O(1)
-// regardless of stream length.
+// StreamReport. Per-second frame counts go into a constant-size
+// histogram whose median equals the sorted-vector median for integer
+// counts, so per-flow state is O(1) regardless of stream length.
 class StreamAccumulator {
  public:
-  enum class Mode { kOffline, kBounded };
-
   // Per-second window counters for the streaming service; reset by
   // take_window().
   struct Window {
@@ -175,8 +169,6 @@ class StreamAccumulator {
     int freeze_events = 0;  // blind freeze detections during the window
     bool operator==(const Window&) const = default;
   };
-
-  explicit StreamAccumulator(Mode mode = Mode::kOffline) : mode_(mode) {}
 
   void on_packet(const ParsedPacket& p);
 
@@ -201,7 +193,6 @@ class StreamAccumulator {
 
   static constexpr int kFpsBins = 128;  // per-second counts above clamp here
 
-  Mode mode_;
   FrameSegmenter segmenter_;
   GapFreezeEstimator freeze_;
   int64_t packets_ = 0;
@@ -211,14 +202,13 @@ class StreamAccumulator {
   int64_t rtp_packets_ = 0;
   int64_t rtcp_packets_ = 0;
   int64_t stun_packets_ = 0;
-  // Closed-frame aggregates (identical order in both modes).
+  // Closed-frame aggregates.
   int64_t frames_ = 0;
   int64_t frame_bytes_ = 0;
   int64_t first_frame_sec_ = 0;
   int64_t cur_sec_ = 0;
   int cur_sec_frames_ = 0;
-  std::vector<double> fps_per_sec_;        // kOffline
-  uint32_t fps_hist_[kFpsBins] = {};       // kBounded
+  uint32_t fps_hist_[kFpsBins] = {};  // seconds by frame count
   Window window_;
   int freeze_events_at_window_ = 0;
 };

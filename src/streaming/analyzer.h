@@ -9,8 +9,8 @@
 //
 // State is strictly bounded by StreamingConfig::memory_cap_bytes via the
 // sketch-gated FlowTable; the per-flow estimators are the same
-// incremental core the offline pipeline runs (analysis/inference.h), in
-// bounded mode. Report order is deterministic: windows emit in key
+// incremental core the offline pipeline runs (analysis/inference.h).
+// Report order is deterministic: windows emit in key
 // order per window roll, final reports in eviction order (LRU order is
 // packet-arrival order, idle/flush sweeps sort by key), so the same
 // input — tapped live or replayed from a pcap — produces byte-identical

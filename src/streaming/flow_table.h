@@ -93,7 +93,7 @@ class FlowTable {
     }
   };
   struct Entry {
-    StreamAccumulator acc{StreamAccumulator::Mode::kBounded};
+    StreamAccumulator acc;
     std::list<StreamKey>::iterator lru_it;
   };
 

@@ -9,6 +9,7 @@
 #include "harness/scenario.h"
 #include "net/faults.h"
 #include "net/link.h"
+#include "streaming/analyzer.h"
 #include "trace/recorder.h"
 
 namespace vca {
@@ -155,10 +156,22 @@ TEST(InferencePropertyTest, SurvivesFaultMutatedTraffic) {
     EXPECT_GE(video->frames, 0) << "seed " << seed;
     EXPECT_GE(video->repair_bytes, 0) << "seed " << seed;
     EXPECT_GE(video->duplicate_packets, 0) << "seed " << seed;
-    for (double fps : video->fps_per_sec) {
-      EXPECT_GE(fps, 0.0) << "seed " << seed;
-      EXPECT_LE(fps, 90.0) << "seed " << seed;
+    // Per-second frame counts stay in range too: the streaming analyzer's
+    // 1 s windows over the same records, every flow tracked from its
+    // first packet.
+    StreamingConfig scfg;
+    scfg.promote_packets = 1;
+    StreamingAnalyzer stream(scfg);
+    for (const PacketRecord& r : rec.records()) stream.on_record(r);
+    stream.finish();
+    int video_windows = 0;
+    for (const WindowReport& w : stream.windows()) {
+      if (w.key != video->key) continue;
+      ++video_windows;
+      EXPECT_GE(w.frames, 0) << "seed " << seed;
+      EXPECT_LE(w.frames, 90) << "seed " << seed;
     }
+    EXPECT_GT(video_windows, 0) << "seed " << seed;
     if (seed >= 1) {
       // With duplication enabled the blind dedup should have fired at
       // least once in most seeds; never required, never negative.

@@ -47,9 +47,8 @@ TEST(StreamingAnalyzerTest, MatchesOfflinePipelineOnCapturedTrace) {
       if (s.key == off.key) on = &s;
     }
     ASSERT_NE(on, nullptr) << off.describe();
-    // Same packets through the same incremental core: everything except
-    // the offline-only per-second vector is bit-equal, including the
-    // histogram-vs-vector median and the extended estimates.
+    // Same packets through the same incremental core: every field is
+    // bit-equal, including the median and the extended estimates.
     EXPECT_EQ(on->packets, off.packets);
     EXPECT_EQ(on->ip_bytes, off.ip_bytes);
     EXPECT_EQ(on->frames, off.frames);
@@ -61,7 +60,6 @@ TEST(StreamingAnalyzerTest, MatchesOfflinePipelineOnCapturedTrace) {
     EXPECT_EQ(on->freeze_events, off.freeze_events);
     EXPECT_DOUBLE_EQ(on->est_freeze_ratio, off.est_freeze_ratio);
     EXPECT_DOUBLE_EQ(on->qoe, off.qoe);
-    EXPECT_TRUE(on->fps_per_sec.empty());  // bounded mode
   }
 
   // The primary video stream carries a real signal end to end.
