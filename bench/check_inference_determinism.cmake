@@ -7,8 +7,11 @@ if(NOT DEFINED BENCH OR NOT DEFINED WORKDIR)
                       "check_inference_determinism.cmake")
 endif()
 
-set(json1 "${WORKDIR}/inference_det_j1.json")
-set(json8 "${WORKDIR}/inference_det_j8.json")
+# Per-bench file names: bench_inference and bench_inference_stream run
+# this script concurrently under `ctest -j` in the same WORKDIR.
+get_filename_component(bench_name "${BENCH}" NAME_WE)
+set(json1 "${WORKDIR}/${bench_name}_det_j1.json")
+set(json8 "${WORKDIR}/${bench_name}_det_j8.json")
 
 execute_process(
   COMMAND "${BENCH}" --quick --jobs 1 --json "${json1}"

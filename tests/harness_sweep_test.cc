@@ -76,8 +76,7 @@ TEST(SweepTest, ParseArgs) {
 }
 
 // --shards is a worker-thread count: an integer >= 1. Anything else is a
-// usage error (exit 2), never a silent fallback to some other engine or
-// thread count.
+// usage error (exit 2), never a silent fallback to some other value.
 TEST(SweepTest, ParseArgsShards) {
   const char* ok[] = {"bench", "--shards", "4"};
   EXPECT_EQ(parse_sweep_args(3, const_cast<char**>(ok)).shards, 4);
