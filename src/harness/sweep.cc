@@ -14,6 +14,8 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
+
 namespace vca {
 
 namespace {
@@ -58,17 +60,17 @@ std::string json_num(double v) {
   return ss.str();
 }
 
-// --shards value: an integer >= 1, else a usage message and exit 2 (a
-// typo must not silently pick some other thread count).
-int shards_arg(const char* prog, const char* v) {
+// --jobs/--shards value: an integer >= 1, else a usage message and exit 2
+// (a typo must not silently pick some other thread count).
+int count_arg(const char* prog, const char* flag, const char* what,
+              const char* v) {
   if (v == nullptr) v = "";
   char* end = nullptr;
   long n = std::strtol(v, &end, 10);
   if (end == v || *end != '\0' || n < 1 || n > INT_MAX) {
     std::fprintf(stderr,
-                 "usage: %s [--shards N]: N is the worker-thread count per "
-                 "simulation, an integer >= 1 (got '%s')\n",
-                 prog, v);
+                 "usage: %s [%s N]: N is the %s, an integer >= 1 (got '%s')\n",
+                 prog, flag, what, v);
     std::exit(2);
   }
   return static_cast<int>(n);
@@ -86,11 +88,13 @@ SweepOptions parse_sweep_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (std::strcmp(argv[i], "--shards") == 0) {
-      opts.shards = shards_arg(argv[0], next);
+      opts.shards = count_arg(argv[0], "--shards",
+                              "worker-thread count per simulation", next);
+    } else if (std::strcmp(argv[i], "--jobs") == 0) {
+      opts.jobs = count_arg(argv[0], "--jobs",
+                            "worker-thread count across sweep cells", next);
     } else if (next == nullptr) {
       break;
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      opts.jobs = std::atoi(next);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opts.json_path = next;
     }
@@ -232,8 +236,13 @@ bool BenchReport::finish() {
   uint64_t allocs = perf::alloc_tracking_active()
                         ? perf::alloc_calls() - allocs_at_start_
                         : 0;
+  // Peak resident set of the whole process (Linux reports ru_maxrss in KB).
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  double peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   f << "  \"timing\": {\"jobs\": " << jobs << ", \"wall_clock_sec\": "
-    << json_num(wall_sec) << ", \"sim_events\": " << events
+    << json_num(wall_sec) << ", \"peak_rss_mb\": " << json_num(peak_rss_mb)
+    << ", \"sim_events\": " << events
     << ", \"events_per_sec\": " << json_num(eps)
     << ", \"peak_heap_events\": " << perf::peak_heap_events()
     << ", \"link_packets\": " << link_pkts

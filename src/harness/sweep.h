@@ -37,7 +37,8 @@
 namespace vca {
 
 // Command-line options shared by every bench binary and the CLI:
-//   --jobs N     worker threads across sweep cells (default: hw concurrency)
+//   --jobs N     worker threads across sweep cells (N >= 1; default: hw
+//                concurrency)
 //   --shards N   worker threads INSIDE each simulation with region
 //                shards (N >= 1; results do not depend on it)
 //   --json PATH  machine-readable per-cell means/CIs + timing
@@ -48,8 +49,8 @@ struct SweepOptions {
 };
 
 // Extracts --jobs/--shards/--json from argv; unrelated flags are left for
-// the caller's own parser. A --shards value that is not an integer >= 1
-// prints a usage message and exits with status 2.
+// the caller's own parser. A --jobs or --shards value that is not an
+// integer >= 1 prints a usage message and exits with status 2.
 SweepOptions parse_sweep_args(int argc, char** argv);
 
 int default_jobs();  // hardware_concurrency, at least 1

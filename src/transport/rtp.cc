@@ -17,6 +17,7 @@ void RtpSender::shutdown() {
   stopped_ = true;
   while (!pacer_.empty()) pacer_.pop_front();
   pacer_bytes_ = 0;
+  std::vector<HistorySlot>().swap(history_);
 }
 
 void RtpSender::send_frame(const EncodedFrame& frame) {
@@ -136,12 +137,21 @@ void RtpSender::drain() {
     sent_fec_bytes_ += p.size_bytes;
   } else {
     sent_media_bytes_ += p.size_bytes;
-    if (cfg_.enable_rtx) {
+    if (cfg_.media_type == PacketType::kRtpVideo) {
       if (history_.empty()) history_.resize(kHistorySlots);
-      HistorySlot& slot = history_[p.rtp().seq & (kHistorySlots - 1)];
-      slot.seq = p.rtp().seq;
-      slot.valid = true;
-      slot.pkt = p;
+      const RtpMeta& m = p.rtp();
+      history_[m.seq & (kHistorySlots - 1)] = {
+          .frame_id = m.frame_id,
+          .fps = m.fps,
+          .capture_time = m.capture_time,
+          .seq = m.seq,
+          .size_bytes = p.size_bytes,
+          .frame_width = m.frame_width,
+          .qp = m.qp,
+          .packets_in_frame = m.packets_in_frame,
+          .packet_index = m.packet_index,
+          .keyframe = m.keyframe,
+          .spatial_layer = m.spatial_layer};
     }
   }
   Duration gap = cfg_.pacing_rate.transmit_time(p.size_bytes);
@@ -152,7 +162,7 @@ void RtpSender::drain() {
 void RtpSender::handle_rtcp(const RtcpMeta& fb) {
   if (stopped_) return;
   if (fb.fir_count > 0) keyframe_requested_ = true;
-  if (cfg_.enable_rtx && !fb.nack_seqs.empty()) retransmit(fb.nack_seqs);
+  if (!fb.nack_seqs.empty()) retransmit(fb.nack_seqs);
   if (feedback_handler_) feedback_handler_(fb);
 }
 
@@ -160,11 +170,28 @@ void RtpSender::retransmit(const NackList& seqs) {
   if (history_.empty()) return;
   for (uint32_t seq : seqs) {
     const HistorySlot& slot = history_[seq & (kHistorySlots - 1)];
-    if (!slot.valid || slot.seq != seq) continue;
-    Packet p = slot.pkt;  // copy: the slot stays available for re-NACKs
+    if (slot.size_bytes == 0 || slot.seq != seq) continue;
+    Packet p;
     p.id = next_packet_id_++;
+    p.flow = cfg_.flow;
+    p.dst = cfg_.dst;
+    p.type = cfg_.media_type;
+    p.size_bytes = slot.size_bytes;
     p.created_at = sched_->now();
-    p.rtp().abs_send_time = sched_->now();
+    RtpMeta m;
+    m.ssrc = cfg_.ssrc;
+    m.seq = slot.seq;
+    m.frame_id = slot.frame_id;
+    m.packets_in_frame = slot.packets_in_frame;
+    m.packet_index = slot.packet_index;
+    m.keyframe = slot.keyframe;
+    m.spatial_layer = slot.spatial_layer;
+    m.frame_width = slot.frame_width;
+    m.fps = slot.fps;
+    m.qp = slot.qp;
+    m.capture_time = slot.capture_time;
+    m.abs_send_time = sched_->now();
+    p.meta = m;
     ++sent_packets_;
     sent_media_bytes_ += p.size_bytes;
     host_->send(std::move(p));

@@ -39,7 +39,6 @@ class RtpSender {
     // FEC packets added per frame, as a fraction of the frame's media
     // packets (Zoom-style sender FEC). 0 disables.
     double fec_overhead = 0.0;
-    bool enable_rtx = true;  // answer NACKs with retransmissions
   };
 
   RtpSender(EventScheduler* sched, Host* host, Config cfg);
@@ -52,11 +51,12 @@ class RtpSender {
   // receiver's arrival rate but never toward decodable frames.
   void send_padding(int bytes);
 
-  // Quiesce before mid-run retirement: drops the pacer queue, freezes the
-  // counters, and lets any already-scheduled drain fire as a no-op. The
-  // object must stay alive until the run ends (park it in a graveyard) —
-  // the pacing timer captures a raw `this`, so destruction cannot happen
-  // while a callback is still queued.
+  // Quiesce before mid-run retirement: drops the pacer queue and the
+  // retransmission history, freezes the counters, and lets any
+  // already-scheduled drain fire as a no-op. The object must stay alive
+  // until the run ends (park it in a graveyard) — the pacing timer
+  // captures a raw `this`, so destruction cannot happen while a callback
+  // is still queued.
   void shutdown();
 
   void set_pacing_rate(DataRate r) { cfg_.pacing_rate = r; }
@@ -102,18 +102,30 @@ class RtpSender {
   bool stopped_ = false;
   bool keyframe_requested_ = false;
 
-  // Recently sent packets retained for retransmission: a direct-mapped
-  // ring keyed by seq & (kHistorySlots - 1). Unlike the old
-  // std::map<seq, Packet> (one node allocation per media packet), inserts
-  // overwrite in place; a NACK only ever targets sequences within ~1000
-  // of the head (see RtpReceiver's missing-seq bound), comfortably inside
-  // the 2048-slot window. Sized lazily on first media packet so
-  // RTX-disabled senders pay nothing.
+  // Recently sent media packets retained for retransmission: a
+  // direct-mapped ring keyed by seq & (kHistorySlots - 1). A NACK only
+  // ever targets sequences within ~1000 of the head (see RtpReceiver's
+  // missing-seq bound), comfortably inside the 2048-slot window. Only
+  // video senders keep one (no receiver NACKs audio); it is allocated on
+  // the first media packet and released by shutdown(). A slot stores
+  // what retransmit() cannot rebuild from cfg_: the seq, the wire size
+  // and the per-packet RtpMeta fields. FEC and padding never enter the
+  // ring, so the slot of a seq whose +2048 partner was FEC stays valid.
   struct HistorySlot {
+    uint64_t frame_id = 0;
+    double fps = 0.0;
+    TimePoint capture_time;
     uint32_t seq = 0;
-    bool valid = false;
-    Packet pkt;
+    int size_bytes = 0;  // 0 = empty slot (a media packet never is)
+    int frame_width = 0;
+    int qp = 0;
+    uint16_t packets_in_frame = 0;
+    uint16_t packet_index = 0;
+    bool keyframe = false;
+    uint8_t spatial_layer = 0;
   };
+  static_assert(sizeof(HistorySlot) <= 48,
+                "RTX history slots must stay compact (2048 per video sender)");
   static constexpr size_t kHistorySlots = 2048;
   std::vector<HistorySlot> history_;
 

@@ -91,6 +91,22 @@ TEST(SweepTest, ParseArgsShards) {
               testing::ExitedWithCode(2), "--shards");
 }
 
+// --jobs is a worker-thread count too: an integer >= 1, never atoi's
+// silent 0 ("every core") for a typo.
+TEST(SweepTest, ParseArgsJobs) {
+  const char* ok[] = {"bench", "--jobs", "3"};
+  EXPECT_EQ(parse_sweep_args(3, const_cast<char**>(ok)).jobs, 3);
+  for (const char* bad : {"abc", "0", "-1", "2x", ""}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"bench", "--jobs", bad};
+    EXPECT_EXIT(parse_sweep_args(3, const_cast<char**>(argv)),
+                testing::ExitedWithCode(2), "--jobs");
+  }
+  const char* missing[] = {"bench", "--jobs"};
+  EXPECT_EXIT(parse_sweep_args(2, const_cast<char**>(missing)),
+              testing::ExitedWithCode(2), "--jobs");
+}
+
 // A representative bench grid, shortened: capacity x profile x rep over
 // real two-party simulations.
 std::vector<TwoPartyConfig> grid_jobs() {

@@ -215,5 +215,152 @@ TEST(RtpTest, FeedbackReportsReceiveRate) {
   EXPECT_LT(seen.mbps_f(), 2.5);
 }
 
+// --- Retransmission history ---------------------------------------------
+//
+// The sender answers a NACK from a direct-mapped ring of 2048 slots keyed
+// by seq & 2047. These tests pin which NACKs get answered and what a
+// retransmission carries.
+
+struct RtxRig {
+  TwoHostNet net;
+  RtpSender sender;
+  std::vector<Packet> wire;  // every packet that reached c2 on kMedia
+
+  explicit RtxRig(PacketType type = PacketType::kRtpVideo, double fec = 0.0)
+      : sender(&net.sched, &net.c1,
+               {.ssrc = 7,
+                .flow = kMedia,
+                .dst = net.c2.id(),
+                .media_type = type,
+                .pacing_rate = DataRate::mbps(50),
+                .fec_overhead = fec}) {
+    net.c2.register_flow(kMedia, [this](Packet p) { wire.push_back(p); });
+  }
+
+  // `n` frames of `bytes` each, one per millisecond, then drain.
+  void send_frames(uint64_t n, int bytes) {
+    for (uint64_t i = 0; i < n; ++i) {
+      net.sched.schedule(Duration::millis(static_cast<int64_t>(i)), [=, this] {
+        EncodedFrame f;
+        f.ssrc = 7;
+        f.frame_id = i;
+        f.bytes = bytes;
+        f.keyframe = i % 50 == 0;
+        f.spatial_layer = 2;
+        f.width = 960;
+        f.fps = 24.5;
+        f.qp = 31;
+        f.capture_time = net.sched.now();
+        sender.send_frame(f);
+      });
+    }
+    net.sched.run_for(Duration::millis(static_cast<int64_t>(n) + 500));
+  }
+
+  // NACK the given seqs and return the packets that arrive in reply.
+  std::vector<Packet> nack(std::initializer_list<uint32_t> seqs) {
+    RtcpMeta fb;
+    fb.ssrc = 7;
+    for (uint32_t s : seqs) fb.nack_seqs.push_back(s);
+    const size_t before = wire.size();
+    sender.handle_rtcp(fb);
+    net.sched.run_for(200_ms);
+    return {wire.begin() + static_cast<std::ptrdiff_t>(before), wire.end()};
+  }
+
+  uint32_t head() const { return wire.back().rtp().seq; }
+};
+
+TEST(RtpRtxTest, AnswersNackWithinWindowButNotPastIt) {
+  RtxRig rig;
+  rig.send_frames(2100, 1000);  // one media packet per frame
+  const uint32_t head = rig.head();
+  ASSERT_EQ(head, 2100u);
+  auto in = rig.nack({head - 2047});
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].rtp().seq, head - 2047);
+  // head - 2048 shares its slot with the later media seq `head`.
+  EXPECT_TRUE(rig.nack({head - 2048}).empty());
+  // The head itself is still there, and a re-NACK is answered again.
+  EXPECT_EQ(rig.nack({head, head}).size(), 2u);
+}
+
+TEST(RtpRtxTest, FecOrPaddingPartnerDoesNotEvictMediaSeq) {
+  // Two media packets then one FEC packet per frame: seq 1 is media and
+  // its +2048 partner, seq 2049, is FEC.
+  RtxRig fec(PacketType::kRtpVideo, /*fec=*/0.5);
+  fec.send_frames(700, 2000);
+  ASSERT_GE(fec.head(), 2049u);
+  ASSERT_TRUE(fec.wire[2048].rtp().is_fec);
+  ASSERT_EQ(fec.wire[2048].rtp().seq, 2049u);
+  auto in = fec.nack({1});
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].rtp().seq, 1u);
+  EXPECT_EQ(in[0].type, PacketType::kRtpVideo);
+
+  // Seq 1 is media; seqs 2..2049 are padding.
+  RtxRig pad;
+  pad.send_frames(1, 1000);
+  pad.sender.send_padding(2048 * kMtuBytes);
+  pad.net.sched.run_for(1_s);
+  ASSERT_EQ(pad.head(), 2049u);
+  auto in_pad = pad.nack({1, 2049});  // padding is never retransmitted
+  ASSERT_EQ(in_pad.size(), 1u);
+  EXPECT_EQ(in_pad[0].rtp().seq, 1u);
+}
+
+TEST(RtpRtxTest, RetransmissionEqualsOriginal) {
+  RtxRig rig;
+  rig.send_frames(5, 3000);  // 3 packets per frame; the last is short
+  ASSERT_EQ(rig.wire.size(), 15u);
+  for (size_t k : {size_t{0}, size_t{4}, size_t{14}}) {
+    SCOPED_TRACE(k);
+    const Packet orig = rig.wire[k];
+    auto in = rig.nack({orig.rtp().seq});
+    ASSERT_EQ(in.size(), 1u);
+    const Packet& rtx = in[0];
+    EXPECT_EQ(rtx.size_bytes, orig.size_bytes);
+    EXPECT_EQ(rtx.flow, orig.flow);
+    EXPECT_EQ(rtx.src, orig.src);
+    EXPECT_EQ(rtx.dst, orig.dst);
+    EXPECT_EQ(rtx.type, orig.type);
+    EXPECT_GT(rtx.id, orig.id);
+    const RtpMeta& a = orig.rtp();
+    const RtpMeta& b = rtx.rtp();
+    EXPECT_EQ(b.ssrc, a.ssrc);
+    EXPECT_EQ(b.seq, a.seq);
+    EXPECT_EQ(b.frame_id, a.frame_id);
+    EXPECT_EQ(b.packets_in_frame, a.packets_in_frame);
+    EXPECT_EQ(b.packet_index, a.packet_index);
+    EXPECT_EQ(b.keyframe, a.keyframe);
+    EXPECT_EQ(b.spatial_layer, a.spatial_layer);
+    EXPECT_EQ(b.is_fec, a.is_fec);
+    EXPECT_EQ(b.frame_width, a.frame_width);
+    EXPECT_EQ(b.fps, a.fps);
+    EXPECT_EQ(b.qp, a.qp);
+    EXPECT_EQ(b.capture_time, a.capture_time);
+    EXPECT_GT(b.abs_send_time, a.abs_send_time);
+    EXPECT_EQ(b.abs_send_time, rtx.created_at);
+  }
+  EXPECT_EQ(rig.wire[0].rtp().keyframe, true);
+  EXPECT_EQ(rig.wire[14].rtp().packet_index, 2);
+  EXPECT_LT(rig.wire[14].size_bytes, rig.wire[13].size_bytes);
+}
+
+TEST(RtpRtxTest, AudioSenderAnswersNoNack) {
+  RtxRig rig(PacketType::kRtpAudio);
+  rig.send_frames(10, 160);
+  ASSERT_EQ(rig.wire.size(), 10u);
+  EXPECT_TRUE(rig.nack({1, 5, 10}).empty());
+}
+
+TEST(RtpRtxTest, ShutdownSenderAnswersNoNack) {
+  RtxRig rig;
+  rig.send_frames(10, 1000);
+  ASSERT_EQ(rig.nack({3}).size(), 1u);
+  rig.sender.shutdown();
+  EXPECT_TRUE(rig.nack({3, 10}).empty());
+}
+
 }  // namespace
 }  // namespace vca
